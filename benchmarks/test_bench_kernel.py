@@ -5,25 +5,16 @@ the emulations stress: a dense schedule-then-drain burst (probing
 rounds) and a retry pattern where most timers are cancelled before
 firing (the DDoS retry storm). Tracking these keeps kernel regressions
 visible in the perf trajectory independently of experiment-level
-changes.
-
-Every workload is parametrized over the available event-queue backends
-(heap reference, timer wheel, calendar queue, native C kernel when
-built); all backends process the identical event sequence, so the same
-assertions hold everywhere and the numbers differ only in wall time.
-The committed ``benchmarks/output/kernel_*.txt`` artifacts record the
-default backend (``auto``-resolved); other backends write suffixed
-files for comparison without disturbing the tracked baseline.
+changes. ``scripts/check_kernel_budget.py`` re-runs these workloads
+against the committed ``benchmarks/output/kernel_*.txt`` figures.
 """
 
 import time
 
-import pytest
 from conftest import emit
 
 from repro.defense.capacity import ServiceCapacity
 from repro.defense.rrl import SEND, ResponseRateLimiter
-from repro.simcore.events import QUEUE_BACKENDS, resolve_queue_backend
 from repro.simcore.simulator import Simulator
 
 BURST_EVENTS = 50_000
@@ -31,20 +22,10 @@ RETRY_TIMERS = 20_000
 ATTACK_EVENTS = 40_000
 ATTACK_CHAINS = 16
 
-BACKENDS = sorted(QUEUE_BACKENDS)
-DEFAULT_BACKEND = resolve_queue_backend("auto")
 
-
-def _artifact(stem: str, backend: str) -> str:
-    """Plain name for the tracked default backend, suffixed otherwise."""
-    if backend == DEFAULT_BACKEND:
-        return stem
-    return f"{stem}_{backend}"
-
-
-def drain_burst(backend: str = "auto") -> int:
+def drain_burst() -> int:
     """Schedule a flat burst of timers and drain it."""
-    sim = Simulator(queue_backend=backend)
+    sim = Simulator()
     sink = []
     append = sink.append
     for index in range(BURST_EVENTS):
@@ -53,14 +34,14 @@ def drain_burst(backend: str = "auto") -> int:
     return sim.events_processed
 
 
-def retry_storm(backend: str = "auto") -> int:
+def retry_storm() -> int:
     """Resolver-style timers: most are cancelled before they fire.
 
     Every 'query' schedules a retry timer and an 'answer' that cancels
     it — the hot pattern under attack, where the queue fills with
-    cancelled entries that the backend must skip cheaply.
+    cancelled entries that the queue must skip cheaply.
     """
-    sim = Simulator(queue_backend=backend)
+    sim = Simulator()
     cancelled = 0
 
     def answer(timer):
@@ -75,7 +56,7 @@ def retry_storm(backend: str = "auto") -> int:
     return cancelled
 
 
-def attack_flood(backend: str = "auto") -> int:
+def attack_flood() -> int:
     """Attack-traffic event path: self-rescheduling attacker chains.
 
     Each attacker is a timer chain (the :mod:`repro.attackload` shape —
@@ -84,7 +65,7 @@ def attack_flood(backend: str = "auto") -> int:
     capacity admission. This is the per-packet cost a flooded
     authoritative pays, isolated from DNS message handling.
     """
-    sim = Simulator(queue_backend=backend)
+    sim = Simulator()
     rrl = ResponseRateLimiter(rate=20.0, burst=40.0, slip=2, prefix_len=24)
     capacity = ServiceCapacity(rate=1000.0, queue_limit=64)
     per_chain = ATTACK_EVENTS // ATTACK_CHAINS
@@ -110,60 +91,47 @@ def attack_flood(backend: str = "auto") -> int:
     return sim.events_processed
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_bench_kernel_burst(benchmark, output_dir, backend):
-    processed = benchmark.pedantic(
-        lambda: drain_burst(backend), rounds=3, iterations=1
-    )
+def test_bench_kernel_burst(benchmark, output_dir):
+    processed = benchmark.pedantic(drain_burst, rounds=3, iterations=1)
     assert processed == BURST_EVENTS
     seconds = benchmark.stats.stats.min
     emit(
         output_dir,
-        _artifact("kernel_burst", backend),
-        f"Kernel burst throughput [{backend} backend]: "
-        f"{processed} events in {seconds * 1e3:.1f} ms "
+        "kernel_burst",
+        f"Kernel burst throughput: {processed} events in {seconds * 1e3:.1f} ms "
         f"({processed / seconds:,.0f} events/s)",
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_bench_kernel_retry_storm(benchmark, output_dir, backend):
-    cancelled = benchmark.pedantic(
-        lambda: retry_storm(backend), rounds=3, iterations=1
-    )
+def test_bench_kernel_retry_storm(benchmark, output_dir):
+    cancelled = benchmark.pedantic(retry_storm, rounds=3, iterations=1)
     assert cancelled == RETRY_TIMERS
     seconds = benchmark.stats.stats.min
     total = 2 * RETRY_TIMERS
     emit(
         output_dir,
-        _artifact("kernel_retry", backend),
-        f"Kernel retry-storm throughput [{backend} backend]: "
-        f"{total} timers ({cancelled} cancelled) in {seconds * 1e3:.1f} ms "
+        "kernel_retry",
+        f"Kernel retry-storm throughput: {total} timers ({cancelled} cancelled) in {seconds * 1e3:.1f} ms "
         f"({total / seconds:,.0f} timers/s)",
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_bench_kernel_attack_flood(benchmark, output_dir, backend):
-    processed = benchmark.pedantic(
-        lambda: attack_flood(backend), rounds=3, iterations=1
-    )
+def test_bench_kernel_attack_flood(benchmark, output_dir):
+    processed = benchmark.pedantic(attack_flood, rounds=3, iterations=1)
     assert processed == ATTACK_EVENTS
     seconds = benchmark.stats.stats.min
     emit(
         output_dir,
-        _artifact("kernel_attack", backend),
-        f"Kernel attack-flood throughput [{backend} backend]: "
-        f"{processed} events ({ATTACK_CHAINS} chains, RRL + capacity per "
+        "kernel_attack",
+        f"Kernel attack-flood throughput: {processed} events ({ATTACK_CHAINS} chains, RRL + capacity per "
         f"event) in {seconds * 1e3:.1f} ms "
         f"({processed / seconds:,.0f} events/s)",
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_cancelled_events_do_not_pin_callbacks(backend):
+def test_cancelled_events_do_not_pin_callbacks():
     """Long retry-heavy runs must not accumulate closure references."""
-    sim = Simulator(queue_backend=backend)
+    sim = Simulator()
     timers = [sim.call_later(60.0, (lambda v: v), object()) for _ in range(100)]
     for timer in timers:
         timer.cancel()

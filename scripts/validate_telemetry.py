@@ -14,8 +14,7 @@ One acceptance gate for both observability export formats:
 
 ``--kind auto`` (the default) sniffs the first line: span rows carry a
 ``"kind"`` field, timeline rows carry ``"values"``. CI runs this against
-both the traced smoke run and the timeline smoke run; the legacy
-``validate_spans.py`` entry point delegates here.
+both the traced smoke run and the timeline smoke run.
 
 Usage::
 

@@ -36,7 +36,6 @@ from repro.servers.hierarchy import (
     build_hierarchy,
 )
 from repro.servers.querylog import QueryLog
-from repro.simcore.events import DEFAULT_QUEUE_BACKEND
 from repro.simcore.rng import RandomStreams
 from repro.simcore.simulator import Simulator
 
@@ -79,12 +78,6 @@ class TestbedConfig:
     # Authoritative-side defense layers (repro.defense); None = the
     # paper's infinitely-fast, undefended servers.
     defense: Optional[DefenseSpec] = None
-    # Event-queue backend for the kernel ("auto", "heap", "wheel",
-    # "calendar", or "native" when built). Every backend yields identical
-    # event ordering and therefore identical results; the knob only
-    # trades wall time, but it participates in the cache key like any
-    # other config field.
-    queue_backend: str = DEFAULT_QUEUE_BACKEND
 
 
 class Testbed:
@@ -96,7 +89,7 @@ class Testbed:
     def __init__(self, config: Optional[TestbedConfig] = None) -> None:
         self.config = config or TestbedConfig()
         config = self.config
-        self.sim = Simulator(queue_backend=config.queue_backend)
+        self.sim = Simulator()
         self.obs = Observability.build(config.obs, self.sim)
         tracer = self.obs.tracer
         registry = self.obs.registry

@@ -14,7 +14,7 @@ The queue is *virtual*: nothing is stored per waiting query. The server
 keeps only the time its backlog drains (``busy_until``); a query
 admitted at ``now`` starts service at ``max(now, busy_until)`` and the
 current queue depth is ``(busy_until - now) * rate``. O(1) state, O(1)
-per query, and the simulator's timer wheel does the actual waiting.
+per query, and the simulator's event queue does the actual waiting.
 """
 
 from __future__ import annotations

@@ -10,14 +10,11 @@ strong:
   callbacks schedule, they never pump.
 * **Queue internals stay in the kernel.** The ``(time, seq)`` ordering
   key, the lazy-deletion live/dead counts, and the ``Event.cancel``
-  span hook are internal contracts of ``repro.simcore.events`` — and
-  since the queue became pluggable (heap / timer wheel / calendar /
-  native), so are every backend's private structures. Code anywhere
-  else that touches ``._heap``, reaches into a queue's backend state
-  (``sim._queue._live``, ``…_queue._buckets``, …), imports ``heapq``,
-  or assigns ``sim.now`` bypasses the public ``push``/``pop_due``/
-  ``depth``/``stats`` API and silently breaks those contracts — or
-  breaks outright when the configured backend changes.
+  span hook are internal contracts of ``repro.simcore``. Code anywhere
+  else that touches ``._heap``, reaches into the queue's private state
+  (``sim._queue._live``, ``…_queue._seq``, …), imports ``heapq``, or
+  assigns ``sim.now`` bypasses the public ``push``/``pop_due``/
+  ``depth``/``stats`` API and silently breaks those contracts.
 """
 
 from __future__ import annotations
@@ -31,31 +28,11 @@ KERNEL_PREFIX = "repro/simcore/"
 
 SIM_RECEIVER_NAMES = frozenset({"sim", "_sim", "simulator"})
 
-#: Private attributes of the event-queue backends (heap / timer wheel /
-#: calendar / native). ``_heap`` is flagged on any receiver (its name is
-#: unambiguous); the rest only when the receiver itself looks like an
-#: event queue, so e.g. a rate limiter's own ``self._buckets`` is fine.
-QUEUE_INTERNAL_ATTRS = frozenset(
-    {
-        "_live",
-        "_dead",
-        "_seq",
-        "_buckets",
-        "_days",
-        "_width",
-        "_day",
-        "_active",
-        "_apos",
-        "_loads",
-        "_loaded",
-        "_inner",
-        "_push_fn",
-        "_pop_due_fn",
-        "_peek_fn",
-        "_drain_fn",
-        "_sched_fn",
-    }
-)
+#: Private attributes of the event queue besides ``_heap``, which is
+#: flagged on any receiver (its name is unambiguous). These are flagged
+#: only when the receiver itself looks like an event queue, so e.g. a
+#: rate limiter's own ``self._live`` would be fine.
+QUEUE_INTERNAL_ATTRS = frozenset({"_seq", "_live", "_dead"})
 
 QUEUE_RECEIVER_NAMES = frozenset({"queue", "_queue", "event_queue"})
 
@@ -108,10 +85,9 @@ class EventLoopChecker(Checker):
                     self.rule,
                     file,
                     node,
-                    f"direct access to queue backend internal "
+                    f"direct access to event-queue internal "
                     f"`{node.attr}`; use the public `depth()`/`stats()` "
-                    f"API — backend state is private and varies per "
-                    f"backend",
+                    f"API",
                 )
         elif isinstance(node, ast.Import):
             for alias in node.names:

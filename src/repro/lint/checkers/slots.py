@@ -2,12 +2,11 @@
 
 Objects created inside simulator callbacks (per packet, per query, per
 retry) dominate the allocation profile of a DDoS run; ``__slots__``
-keeps them small and their attribute access fast. The old
-``scripts/lint_slots.py`` pinned a hand-maintained registry of class
-names; this checker *discovers* the set instead: any class defined in
-the linted tree that is instantiated inside a callback-path function
-(see :mod:`repro.lint.callpaths`) must declare ``__slots__`` — directly,
-or via ``@dataclass(slots=True)``.
+keeps them small and their attribute access fast. Rather than keep a
+hand-maintained registry of class names, this checker *discovers* the
+set: any class defined in the linted tree that is instantiated inside a
+callback-path function (see :mod:`repro.lint.callpaths`) must declare
+``__slots__`` — directly, or via ``@dataclass(slots=True)``.
 
 Exempt automatically: exception classes (raised, not accumulated) and
 ``Enum`` subclasses (module-level singletons). Anything else that is

@@ -220,8 +220,7 @@ def run_lint(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Standalone entry point (used by the ``scripts/lint_slots.py`` shim
-    and handy for ``python -m repro.lint.cli``)."""
+    """Standalone entry point for ``python -m repro.lint.cli``."""
     parser = argparse.ArgumentParser(
         prog="repro lint", description=__doc__.splitlines()[0]
     )

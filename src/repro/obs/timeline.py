@@ -155,9 +155,9 @@ class TimelineRecorder:
         values["client_answered_total"] = answered
         values["retry_total"] = retries
         # ``live`` (non-cancelled pending events) is a property of the
-        # simulation state and identical across queue backends; ``dead``
-        # is lazy-deletion bookkeeping and backend-specific, so it stays
-        # out of the timeline to keep exports backend-invariant.
+        # simulation state; ``dead`` is lazy-deletion bookkeeping that
+        # depends on the queue's internals, so it stays out of the
+        # timeline.
         values["queue_depth"] = raw.get("queue.live", 0)
 
         span = now - prev.get("time", 0.0)

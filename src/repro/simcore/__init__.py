@@ -12,36 +12,20 @@ this library (resolvers, servers, clients, attacks) is expressed as either
 scheduled callbacks or generator processes on top of it.
 """
 
-from repro.simcore.events import (
-    DEFAULT_QUEUE_BACKEND,
-    QUEUE_BACKENDS,
-    CalendarEventQueue,
-    Event,
-    EventQueue,
-    SimulationError,
-    TimerWheelEventQueue,
-    make_queue,
-    resolve_queue_backend,
-)
+from repro.simcore.events import Event, EventQueue, SimulationError
 from repro.simcore.process import AnyOf, Process, Signal, Timeout
 from repro.simcore.rng import RandomStreams
 from repro.simcore.simulator import SimProfile, Simulator
 
 __all__ = [
     "AnyOf",
-    "CalendarEventQueue",
-    "DEFAULT_QUEUE_BACKEND",
     "Event",
     "EventQueue",
     "Process",
-    "QUEUE_BACKENDS",
     "RandomStreams",
     "Signal",
     "SimProfile",
     "SimulationError",
     "Simulator",
-    "TimerWheelEventQueue",
     "Timeout",
-    "make_queue",
-    "resolve_queue_backend",
 ]

@@ -1,17 +1,13 @@
-"""The simulation kernel: a virtual clock driving a pluggable event queue."""
+"""The simulation kernel: a virtual clock driving a binary-heap event queue."""
 
 from __future__ import annotations
 
+import math
 import time as _walltime
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.simcore.events import (
-    DEFAULT_QUEUE_BACKEND,
-    Event,
-    SimulationError,
-    make_queue,
-    resolve_queue_backend,
-)
+from repro.simcore.events import Event, EventQueue, SimulationError
 
 __all__ = ["SimProfile", "SimulationError", "Simulator"]
 
@@ -79,11 +75,9 @@ class Simulator:
     same instant run in scheduling order. The kernel never advances the
     clock past ``until`` when one is given to :meth:`run`.
 
-    ``queue_backend`` selects the event-queue implementation (see
-    ``repro.simcore.events``); every backend yields identical event
-    ordering, so the choice affects wall time only. ``call_later`` is an
-    instance attribute built by the backend: the hot backends fuse the
-    delay check and the queue insert into a single call frame.
+    ``call_later`` is an instance attribute rather than a method: it is a
+    closure with the queue insert inlined, so scheduling a timer costs a
+    single call frame, and it can be wrapped per instance.
 
     Example:
         >>> sim = Simulator()
@@ -96,7 +90,6 @@ class Simulator:
 
     __slots__ = (
         "now",
-        "queue_backend",
         "_queue",
         "_running",
         "_stopped",
@@ -108,10 +101,9 @@ class Simulator:
     #: Schedule ``callback(*args)`` after ``delay`` seconds -> Event.
     call_later: Callable[..., Event]
 
-    def __init__(self, queue_backend: str = DEFAULT_QUEUE_BACKEND) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self.queue_backend = resolve_queue_backend(queue_backend)
-        self._queue = make_queue(queue_backend)
+        self._queue = EventQueue()
         self._running = False
         self._stopped = False
         self.events_processed = 0
@@ -119,7 +111,32 @@ class Simulator:
         # run() checks it exactly once per invocation, so the unprofiled
         # loop carries zero instrumentation.
         self.profile: Optional[SimProfile] = None
-        self.call_later = self._queue.make_call_later(self)
+        self.call_later = self._make_call_later()
+
+    def _make_call_later(self) -> Callable[..., Event]:
+        """Build ``call_later``: the delay check and ``EventQueue.push``
+        fused into one frame. Must stay in step with ``push``."""
+        sim = self
+        queue = self._queue
+        heap = queue._heap
+
+        def call_later(
+            delay: float, callback: Callable[..., Any], *args: Any
+        ) -> Event:
+            """Schedule ``callback(*args)`` after ``delay`` seconds."""
+            # The comparison is False for NaN, so NaN delays take the
+            # error branch too.
+            if delay >= 0:
+                time = sim.now + delay
+                seq = queue._seq + 1
+                queue._seq = seq
+                event = Event(time, seq, callback, args, queue)
+                heappush(heap, (time, seq, event))
+                queue._live += 1
+                return event
+            raise SimulationError(f"negative delay {delay!r}")
+
+        return call_later
 
     def enable_profiling(self) -> SimProfile:
         """Switch :meth:`run` to the instrumented loop; returns the profile."""
@@ -148,21 +165,45 @@ class Simulator:
 
         When ``until`` is given, the clock is left exactly at ``until`` even
         if the queue drained earlier, so repeated ``run(until=...)`` calls
-        advance time monotonically. Events sharing a timestamp are fired
-        as a batch by the queue's ``drain`` hook, which also maintains
-        ``now`` and ``events_processed``.
+        advance time monotonically. After :meth:`stop`, the loop returns
+        once the current callback does; an event whose callback raises
+        still counts in ``events_processed``.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is not None and math.isnan(until):
+            raise SimulationError("cannot run until NaN")
         if self.profile is not None:
             return self._run_profiled(until)
         self._running = True
         self._stopped = False
+        # EventQueue.pop_due inlined: skip cancelled heads, stop at the
+        # limit, detach each event before it fires.
+        queue = self._queue
+        heap = queue._heap
+        limit = math.inf if until is None else until
+        fired = 0
         try:
-            self._queue.drain(self, until)
+            while heap:
+                time, _, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    queue._dead -= 1
+                    continue
+                if time > limit:
+                    break
+                heappop(heap)
+                queue._live -= 1
+                event._queue = None
+                self.now = time
+                fired += 1
+                event.callback(*event.args)
+                if self._stopped:
+                    break
             if until is not None and until > self.now and not self._stopped:
                 self.now = until
         finally:
+            self.events_processed += fired
             self._running = False
 
     def _run_profiled(self, until: Optional[float] = None) -> None:
@@ -171,9 +212,7 @@ class Simulator:
         Kept separate so the unprofiled loop carries zero instrumentation;
         this one pays two ``perf_counter`` reads per event to attribute
         wall time to callback sites (by ``__qualname__``) and to track
-        queue depth through the backend-neutral ``depth()``/``_dead``
-        surface. It pops one event at a time, which is slower than the
-        batched drain but observably identical.
+        queue depth and its cancelled-pending share.
         """
         profile = self.profile
         assert profile is not None
@@ -181,7 +220,6 @@ class Simulator:
         self._stopped = False
         queue = self._queue
         pop_due = queue.pop_due
-        depth = queue.depth
         # The profiler measures *real* elapsed time per callback site by
         # design; it never feeds simulation state.
         perf = _walltime.perf_counter  # repro-lint: allow[determinism]
@@ -190,7 +228,7 @@ class Simulator:
         loop_start = perf()
         try:
             while not self._stopped:
-                queue_depth = depth()
+                queue_depth = queue.depth()
                 if queue_depth > profile.max_depth:
                     profile.max_depth = queue_depth
                 dead = queue._dead
@@ -247,6 +285,5 @@ class Simulator:
         return len(self._queue)
 
     def queue_stats(self) -> Dict[str, Any]:
-        """Backend name plus live/dead/depth counts for the event queue."""
-        stats: Dict[str, Any] = self._queue.stats()
-        return stats
+        """Live/dead/depth counts for the event queue."""
+        return self._queue.stats()

@@ -22,7 +22,7 @@ def test_heap_access_outside_kernel_flagged():
     assert "_heap" in findings[0].message
 
 
-def test_queue_backend_internal_access_flagged():
+def test_queue_internal_access_flagged():
     findings = lint(
         """
         def live_count(sim):
@@ -34,16 +34,16 @@ def test_queue_backend_internal_access_flagged():
 
 
 def test_queue_internal_names_on_other_receivers_allowed():
-    # A rate limiter's own `self._buckets` is not queue state; only
-    # queue-shaped receivers are flagged for the backend-internal names.
+    # A rate limiter's own `self._live` is not queue state; only
+    # queue-shaped receivers are flagged for the queue-internal names.
     findings = lint(
         """
         class RateLimiter:
             def __init__(self):
-                self._buckets = {}
+                self._live = {}
 
             def observe(self, prefix):
-                return self._buckets.get(prefix)
+                return self._live.get(prefix)
         """
     )
     assert findings == []

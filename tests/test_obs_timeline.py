@@ -96,18 +96,12 @@ def test_sketch_tracks_exact_per_source_counts():
 
 
 # ----------------------------------------------------------------------
-# Determinism: parallelism and queue backend must not leak in
+# Determinism: parallelism must not leak in
 # ----------------------------------------------------------------------
 def test_timeline_identical_across_job_counts():
     serial = run_h(jobs=1).timeline_points
     parallel = run_h(jobs=4).timeline_points
     assert [p.as_dict() for p in serial] == [p.as_dict() for p in parallel]
-
-
-def test_timeline_identical_across_queue_backends():
-    heap = run_h(queue_backend="heap").timeline_points
-    calendar = run_h(queue_backend="calendar").timeline_points
-    assert [p.as_dict() for p in heap] == [p.as_dict() for p in calendar]
 
 
 # ----------------------------------------------------------------------

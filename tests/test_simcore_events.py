@@ -1,37 +1,21 @@
-"""Unit tests for the event queue, parametrized over every backend.
+"""Unit tests for the event queue.
 
-The queue is pluggable (binary heap reference, hierarchical timer
-wheel, calendar queue, native C kernel when built); the ordering
-contract — ``(time, seq)`` total order, FIFO within an instant, lazy
-deletion, span terminators — is identical everywhere, so each test runs
-against each available backend.
+The ordering contract — ``(time, seq)`` total order, FIFO within an
+instant, lazy deletion, span terminators — plus the edge cases the
+simulator's inlined run loop and ``call_later`` must agree on.
 """
 
 import math
 
 import pytest
 
-from repro.simcore.events import (
-    DEFAULT_QUEUE_BACKEND,
-    QUEUE_BACKENDS,
-    Event,
-    EventQueue,
-    make_queue,
-    resolve_queue_backend,
-)
+from repro.simcore.events import Event, EventQueue
 from repro.simcore.simulator import SimulationError, Simulator
-
-BACKENDS = sorted(QUEUE_BACKENDS)
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return request.param
 
 
 @pytest.fixture
-def queue(backend):
-    return make_queue(backend)
+def queue():
+    return EventQueue()
 
 
 def test_push_pop_orders_by_time(queue):
@@ -128,33 +112,19 @@ def test_pop_due_skips_cancelled_and_drains(queue):
 
 
 # ----------------------------------------------------------------------
-# Backend registry and stats API
+# Stats API
 # ----------------------------------------------------------------------
-def test_backend_registry_and_resolution():
-    assert "heap" in QUEUE_BACKENDS
-    assert "wheel" in QUEUE_BACKENDS
-    assert "calendar" in QUEUE_BACKENDS
-    assert DEFAULT_QUEUE_BACKEND == "auto"
-    assert resolve_queue_backend("auto") in QUEUE_BACKENDS
-    assert resolve_queue_backend("heap") == "heap"
-    with pytest.raises(ValueError, match="unknown queue backend"):
-        resolve_queue_backend("linked-list")
-
-
-def test_depth_and_stats_track_live_and_dead(queue, backend):
+def test_depth_and_stats_track_live_and_dead(queue):
     events = [queue.push(float(index), lambda: None) for index in range(6)]
     for event in events[:4]:
         event.cancel()
     assert len(queue) == 2  # live events only
-    assert queue.depth() >= 2  # live + still-parked cancelled entries
-    stats = queue.stats()
-    assert stats["backend"] == resolve_queue_backend(backend)
-    assert stats["live"] == 2
-    assert stats["live"] + stats["dead"] == stats["depth"]
+    assert queue.depth() == 6  # live + still-parked cancelled entries
+    assert queue.stats() == {"live": 2, "dead": 4, "depth": 6}
 
 
 # ----------------------------------------------------------------------
-# Shared edge cases (satellite: identical across backends)
+# Edge cases
 # ----------------------------------------------------------------------
 def test_pop_due_exactly_at_limit(queue):
     # The limit is inclusive: an event *at* the limit is due, one an
@@ -176,8 +146,8 @@ def test_peek_time_after_mass_cancel(queue):
     assert queue.peek_time() is None
 
 
-def test_step_over_fully_cancelled_queue(backend):
-    sim = Simulator(queue_backend=backend)
+def test_step_over_fully_cancelled_queue():
+    sim = Simulator()
     timers = [sim.call_later(float(index), lambda: None) for index in range(8)]
     for timer in timers:
         timer.cancel()
@@ -186,11 +156,11 @@ def test_step_over_fully_cancelled_queue(backend):
     assert sim.pending() == 0
 
 
-def test_zero_delay_self_reschedule_chain(backend):
+def test_zero_delay_self_reschedule_chain():
     # A zero-delay chain must make progress (each link is a fresh seq,
     # so it fires after everything already queued at that instant) and
     # must not spin the clock backwards.
-    sim = Simulator(queue_backend=backend)
+    sim = Simulator()
     hops = []
 
     def hop(remaining):
@@ -205,16 +175,16 @@ def test_zero_delay_self_reschedule_chain(backend):
     assert sim.now == 1.0
 
 
-def test_negative_delay_rejected(backend):
-    sim = Simulator(queue_backend=backend)
+def test_negative_delay_rejected():
+    sim = Simulator()
     with pytest.raises(SimulationError):
         sim.call_later(-1.0, lambda: None)
     with pytest.raises(SimulationError):
         sim.at(-0.5, lambda: None)
 
 
-def test_nan_delay_rejected(backend):
-    sim = Simulator(queue_backend=backend)
+def test_nan_delay_rejected():
+    sim = Simulator()
     nan = float("nan")
     with pytest.raises(SimulationError):
         sim.call_later(nan, lambda: None)
@@ -226,10 +196,9 @@ def test_nan_delay_rejected(backend):
 # Ordering-key regression
 # ----------------------------------------------------------------------
 def test_event_has_no_ordering_dunder():
-    # Ordering lives in the (time, seq) tuple key owned by the queue
-    # backends, never on Event itself: an Event.__lt__ would silently
-    # shadow the tuple comparison and let backends diverge. Pin its
-    # absence.
+    # Ordering lives in the (time, seq) tuple key owned by the queue,
+    # never on Event itself: an Event.__lt__ would turn every C-speed
+    # heap comparison into an interpreter call. Pin its absence.
     assert "__lt__" not in vars(Event)
     with pytest.raises(TypeError):
         Event(1.0, 1, lambda: None, ()) < Event(2.0, 2, lambda: None, ())

@@ -36,6 +36,23 @@ def test_run_until_advances_clock_even_when_queue_drains():
     assert sim.now == 100.0
 
 
+@pytest.mark.parametrize("profiled", [False, True])
+def test_run_until_nan_rejected(profiled):
+    # NaN compares False against every event time, so an unchecked NaN
+    # bound would drain the whole queue instead of stopping anywhere.
+    sim = Simulator()
+    if profiled:
+        sim.enable_profiling()
+    fired = []
+    sim.call_later(1.0, fired.append, "early")
+    sim.call_later(500.0, fired.append, "late")
+    with pytest.raises(SimulationError):
+        sim.run(until=float("nan"))
+    assert (sim.now, fired, sim.pending()) == (0.0, [], 2)
+    sim.run(until=10.0)
+    assert (sim.now, fired) == (10.0, ["early"])
+
+
 def test_at_schedules_absolute():
     sim = Simulator()
     times = []
