@@ -32,7 +32,9 @@ class Name:
         for label in labels:
             if not label:
                 raise NameError_("empty label inside name")
-            if len(label.encode("ascii", "strict")) > MAX_LABEL_LENGTH:
+            if not label.isascii():
+                raise NameError_(f"non-ASCII label: {label!r}")
+            if len(label) > MAX_LABEL_LENGTH:
                 raise NameError_(f"label too long: {label!r}")
         wire_length = sum(len(label) + 1 for label in labels) + 1
         if wire_length > MAX_NAME_LENGTH:
@@ -97,10 +99,18 @@ class Name:
         return len(self.labels)
 
     def parent(self) -> "Name":
-        """The name with the leftmost label removed."""
-        if self.is_root:
+        """The name with the leftmost label removed.
+
+        A suffix of a valid name is valid, so the labels and the lowered
+        key are sliced rather than validated and lowered again.
+        """
+        if not self.labels:
             raise NameError_("the root name has no parent")
-        return Name(self.labels[1:])
+        parent = Name.__new__(Name)
+        parent.labels = self.labels[1:]
+        parent._key = self._key[1:]
+        parent._hash = hash(parent._key)
+        return parent
 
     def child(self, label: str) -> "Name":
         """Prepend ``label``, yielding a direct subdomain."""

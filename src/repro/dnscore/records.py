@@ -3,15 +3,21 @@
 Rdata classes are immutable value objects; :class:`ResourceRecord` binds an
 owner name, type, class, and TTL to one rdata, and :class:`RRset` groups
 records sharing (name, type, class) — the unit DNS caches operate on.
+Nothing here is mutated after construction, so caches and messages share
+records freely instead of copying them.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.dnscore.name import Name
 from repro.dnscore.rrtypes import RRClass, RRType
+
+_MAX_IPV6 = (1 << 128) - 1
+#: Largest probe id the instrumented AAAA layout can carry (20 bits).
+MAX_PROBE_ID = 0xFFFFF
 
 
 class Rdata:
@@ -52,50 +58,65 @@ class A(Rdata):
 
 
 class AAAA(Rdata):
-    """IPv6 address record.
+    """IPv6 address record, held as a 128-bit integer.
 
     The paper encodes measurement metadata inside AAAA rdata
-    (prefix:serial:probeid:ttl); :meth:`fields` unpacks that layout.
+    (prefix:serial:probeid:ttl); :meth:`from_fields` packs that layout and
+    :meth:`fields` unpacks it, both with integer operations only. The
+    textual ``address`` is formatted on demand.
     """
 
     rtype = RRType.AAAA
-    __slots__ = ("address",)
+    __slots__ = ("value",)
 
     def __init__(self, address: str) -> None:
-        self.address = str(ipaddress.IPv6Address(address))
+        self.value = int(ipaddress.IPv6Address(address))
+
+    @classmethod
+    def from_int(cls, value: int) -> "AAAA":
+        """Build from the 128-bit address value (wire decoding)."""
+        if value < 0 or value > _MAX_IPV6:
+            raise ValueError(f"IPv6 address value out of range: {value}")
+        rdata = cls.__new__(cls)
+        rdata.value = value
+        return rdata
+
+    @property
+    def address(self) -> str:
+        return str(ipaddress.IPv6Address(self.value))
 
     def key(self) -> tuple:
-        return (self.address,)
+        return (self.value,)
 
     def packed(self) -> bytes:
-        return ipaddress.IPv6Address(self.address).packed
+        return self.value.to_bytes(16, "big")
 
     @classmethod
     def from_fields(
-        cls, prefix: str, serial: int, probe_id: int, ttl: int
+        cls, prefix: Union[str, int], serial: int, probe_id: int, ttl: int
     ) -> "AAAA":
         """Build the paper's instrumented answer: the low 64 bits carry
         (serial, probe id, ttl) so the client can classify the answer.
 
         Layout: serial (12 bits) | probe id (20 bits) | ttl (32 bits) —
         widened from the paper's 8/8/16 split so day-long TTLs and large
-        probe populations fit.
+        probe populations fit. ``prefix`` is an address string or its
+        integer value; callers building many answers pass the integer.
         """
-        prefix_int = int(ipaddress.IPv6Address(prefix))
+        if isinstance(prefix, str):
+            prefix = int(ipaddress.IPv6Address(prefix))
         if serial < 0 or serial > 0xFFF:
             raise ValueError(f"serial out of range: {serial}")
-        if probe_id < 0 or probe_id > 0xFFFFF:
+        if probe_id < 0 or probe_id > MAX_PROBE_ID:
             raise ValueError(f"probe id out of range: {probe_id}")
         if ttl < 0 or ttl > 0xFFFFFFFF:
             raise ValueError(f"ttl out of range: {ttl}")
-        low = (serial << 52) | (probe_id << 32) | ttl
-        return cls(str(ipaddress.IPv6Address(prefix_int | low)))
+        return cls.from_int(prefix | (serial << 52) | (probe_id << 32) | ttl)
 
     def fields(self) -> Tuple[int, int, int]:
         """Decode (serial, probe_id, ttl) from the instrumented layout."""
-        value = int(ipaddress.IPv6Address(self.address))
-        low = value & ((1 << 64) - 1)
-        return ((low >> 52) & 0xFFF, (low >> 32) & 0xFFFFF, low & 0xFFFFFFFF)
+        value = self.value
+        return ((value >> 52) & 0xFFF, (value >> 32) & 0xFFFFF, value & 0xFFFFFFFF)
 
     def __repr__(self) -> str:
         return f"AAAA({self.address})"
@@ -234,7 +255,12 @@ class ResourceRecord:
         self.rdata = rdata
 
     def with_ttl(self, ttl: int) -> "ResourceRecord":
-        """Copy with a different TTL (cache decrement / TTL caps)."""
+        """Copy with a different TTL (cache decrement / TTL caps).
+
+        Records are immutable, so an unchanged TTL returns ``self``.
+        """
+        if ttl == self.ttl:
+            return self
         return ResourceRecord(self.name, ttl, self.rdata, self.rclass)
 
     def __eq__(self, other: object) -> bool:

@@ -9,11 +9,12 @@ embedded in NS/CNAME/SOA rdata (the types RFC 3597 allows to compress).
 
 from __future__ import annotations
 
+import enum
 import struct
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Type, TypeVar
 
 from repro.dnscore.message import Message, Question
-from repro.dnscore.name import Name
+from repro.dnscore.name import Name, NameError_
 from repro.dnscore.records import (
     AAAA,
     CNAME,
@@ -30,6 +31,7 @@ from repro.dnscore.rrtypes import Opcode, Rcode, RRClass, RRType
 _HEADER = struct.Struct("!HHHHHH")
 _POINTER_MASK = 0xC000
 _MAX_POINTER = 0x3FFF
+_Code = TypeVar("_Code", bound=enum.IntEnum)
 
 
 class WireError(ValueError):
@@ -89,13 +91,19 @@ def _decode_name(data: bytes, offset: int) -> Tuple[Name, int]:
             break
         if cursor + length > len(data):
             raise WireError("label runs past end of packet")
-        labels.append(data[cursor:cursor + length].decode("ascii"))
+        try:
+            labels.append(data[cursor:cursor + length].decode("ascii"))
+        except UnicodeDecodeError as exc:
+            raise WireError("non-ASCII byte in label") from exc
         cursor += length
         if len(labels) > 128:
             raise WireError("too many labels")
     if end < 0:
         end = cursor
-    return Name(labels), end
+    try:
+        return Name(labels), end
+    except NameError_ as exc:
+        raise WireError(f"bad name: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +159,7 @@ def _decode_rdata(
     if rtype == RRType.AAAA:
         if rdlength != 16:
             raise WireError(f"AAAA rdlength {rdlength} != 16")
-        groups = struct.unpack("!8H", data[offset:end])
-        return AAAA(":".join(f"{group:x}" for group in groups))
+        return AAAA.from_int(int.from_bytes(data[offset:end], "big"))
     if rtype in (RRType.NS, RRType.CNAME):
         target, consumed = _decode_name(data, offset)
         if consumed > end:
@@ -175,7 +182,10 @@ def _decode_rdata(
             cursor += 1
             if cursor + length > end:
                 raise WireError("TXT chunk overruns rdata")
-            strings.append(data[cursor:cursor + length].decode("utf-8"))
+            try:
+                strings.append(data[cursor:cursor + length].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise WireError("TXT chunk is not UTF-8") from exc
             cursor += length
         return TXT(strings)
     if rtype == RRType.DS:
@@ -282,23 +292,26 @@ def to_wire(message: Message) -> bytes:
     return bytes(out)
 
 
+def _code(kind: Type[_Code], value: int) -> _Code:
+    """``kind(value)``, with an unknown code rejected as malformed data."""
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise WireError(f"unknown {kind.__name__} {value}") from exc
+
+
 def from_wire(data: bytes) -> Message:
-    """Parse an RFC 1035 packet into a :class:`Message`."""
+    """Parse an RFC 1035 packet into a :class:`Message`.
+
+    Malformed input of any kind raises :class:`WireError`.
+    """
     if len(data) < _HEADER.size:
         raise WireError("packet shorter than header")
     (msg_id, flags, qdcount, ancount, nscount, arcount) = _HEADER.unpack_from(data)
     if qdcount > 1:
         raise WireError(f"unsupported qdcount {qdcount}")
-    opcode_value = (flags >> 11) & 0xF
-    try:
-        opcode = Opcode(opcode_value)
-    except ValueError as exc:
-        raise WireError(f"unknown opcode {opcode_value}") from exc
-    rcode_value = flags & 0xF
-    try:
-        rcode = Rcode(rcode_value)
-    except ValueError as exc:
-        raise WireError(f"unknown rcode {rcode_value}") from exc
+    opcode = _code(Opcode, (flags >> 11) & 0xF)
+    rcode = _code(Rcode, flags & 0xF)
 
     cursor = _HEADER.size
     question = None
@@ -308,7 +321,9 @@ def from_wire(data: bytes) -> Message:
             raise WireError("question truncated")
         qtype_value, qclass_value = struct.unpack_from("!HH", data, cursor)
         cursor += 4
-        question = Question(qname, RRType(qtype_value), RRClass(qclass_value))
+        question = Question(
+            qname, _code(RRType, qtype_value), _code(RRClass, qclass_value)
+        )
 
     edns_payload = None
     sections: List[List[ResourceRecord]] = []
@@ -327,10 +342,12 @@ def from_wire(data: bytes) -> Message:
                 edns_payload = rclass_value
                 cursor += rdlength
                 continue
-            rdata = _decode_rdata(RRType(rtype_value), data, cursor, rdlength)
+            if ttl > 0x7FFFFFFF:
+                raise WireError(f"TTL out of range: {ttl}")
+            rdata = _decode_rdata(_code(RRType, rtype_value), data, cursor, rdlength)
             cursor += rdlength
             records.append(
-                ResourceRecord(name, ttl, rdata, RRClass(rclass_value))
+                ResourceRecord(name, ttl, rdata, _code(RRClass, rclass_value))
             )
         sections.append(records)
 

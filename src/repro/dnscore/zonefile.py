@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Tuple
 
-from repro.dnscore.name import Name
+from repro.dnscore.name import Name, NameError_
 from repro.dnscore.records import AAAA, CNAME, DS, NS, SOA, TXT, A, Rdata
 from repro.dnscore.rrtypes import RRType
 from repro.dnscore.zone import Zone
@@ -134,14 +134,16 @@ def _parse_name(token: str, origin: Optional[Name], line_number: int) -> Name:
         if origin is None:
             raise ZoneFileError(line_number, "@ used without $ORIGIN")
         return origin
-    if token.endswith("."):
-        return Name.from_text(token)
-    if origin is None:
+    absolute = token.endswith(".")
+    if not absolute and origin is None:
         raise ZoneFileError(
             line_number, f"relative name {token!r} without $ORIGIN"
         )
-    relative = Name.from_text(token)
-    return Name(relative.labels + origin.labels)
+    try:
+        name = Name.from_text(token)
+        return name if absolute else Name(name.labels + origin.labels)
+    except NameError_ as exc:
+        raise ZoneFileError(line_number, f"bad name {token!r}: {exc}") from exc
 
 
 def _parse_rdata(
@@ -225,7 +227,10 @@ def parse_zone_text(
         if tokens[0] == "$ORIGIN":
             if len(tokens) != 2:
                 raise ZoneFileError(line_number, "$ORIGIN needs one argument")
-            current_origin = Name.from_text(tokens[1])
+            try:
+                current_origin = Name.from_text(tokens[1])
+            except NameError_ as exc:
+                raise ZoneFileError(line_number, f"bad $ORIGIN: {exc}") from exc
             continue
         if tokens[0] == "$TTL":
             if len(tokens) != 2:

@@ -157,6 +157,30 @@ class DnsCache:
         configured (they may still satisfy :meth:`get_stale`), otherwise
         dropped.
         """
+        entry = self._fresh_entry(name, rtype, now, require_authoritative)
+        if entry is None:
+            return None
+        return entry.rrset.with_ttl(entry.remaining_ttl(now))
+
+    def get_shared(self, name: Name, rtype: RRType, now: float) -> Optional[RRset]:
+        """Fresh lookup like :meth:`get`, without the TTL-decremented copy.
+
+        Returns the stored RRset itself (TTLs as inserted), for callers
+        that only read its data, such as the delegation walk reading NS
+        targets and server addresses. Statistics, LRU order and stale
+        drops move exactly as for :meth:`get`.
+        """
+        entry = self._fresh_entry(name, rtype, now, False)
+        return None if entry is None else entry.rrset
+
+    def _fresh_entry(
+        self,
+        name: Name,
+        rtype: RRType,
+        now: float,
+        require_authoritative: bool,
+    ) -> Optional[CacheEntry]:
+        """The fresh entry for a read, with its hit/miss and LRU effects."""
         key = (name, rtype)
         entry = self._entries.get(key)
         if entry is None:
@@ -172,7 +196,7 @@ class DnsCache:
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return entry.rrset.with_ttl(entry.remaining_ttl(now))
+        return entry
 
     def peek(self, name: Name, rtype: RRType) -> Optional[CacheEntry]:
         """Entry regardless of freshness; no statistics, no LRU touch."""

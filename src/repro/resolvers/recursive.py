@@ -692,7 +692,7 @@ class _ResolutionTask:
                 break
             if self.skip_cut_once is not None and ancestor == self.skip_cut_once:
                 continue
-            ns_rrset = self.r.cache.get(ancestor, RRType.NS, now)
+            ns_rrset = self.r.cache.get_shared(ancestor, RRType.NS, now)
             if ns_rrset is None:
                 continue
             targets = [
@@ -703,7 +703,7 @@ class _ResolutionTask:
             addresses: List[str] = []
             missing: List[Name] = []
             for target in targets:
-                a_rrset = self.r.cache.get(target, RRType.A, now)
+                a_rrset = self.r.cache.get_shared(target, RRType.A, now)
                 if a_rrset is not None:
                     addresses.extend(record.rdata.address for record in a_rrset)
                 elif self.r.negcache.get(target, RRType.A, now) is None:

@@ -10,11 +10,12 @@ referral-vs-answer precedence question of Appendix A).
 
 from __future__ import annotations
 
+import ipaddress
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.dnscore.name import Name
-from repro.dnscore.records import AAAA, NS, SOA, A, ResourceRecord
+from repro.dnscore.records import AAAA, MAX_PROBE_ID, NS, SOA, A, ResourceRecord
 from repro.dnscore.rrtypes import RRType
 from repro.dnscore.zone import Zone
 
@@ -111,37 +112,32 @@ def _closest_parent(origin: Name, zones: Dict[Name, Zone]) -> Optional[Name]:
         candidate = candidate.parent()
 
 
-def attach_probe_synthesizer(
-    zone: Zone,
-    prefix: str,
-    answer_ttl: int,
-    parse_probe_id: Optional[Callable[[str], Optional[int]]] = None,
-) -> None:
+def attach_probe_synthesizer(zone: Zone, prefix: str, answer_ttl: int) -> None:
     """Make ``zone`` answer ``{probeid}.<origin>`` AAAA queries.
 
     The answer encodes (current zone serial, probe id, configured TTL)
     in the rdata, exactly like the paper's instrumented zone (§3.2), so
-    client-side classification can tell cached from fresh answers.
+    client-side classification can tell cached from fresh answers. Only
+    ASCII-decimal labels whose value fits the 20-bit probe-id field are
+    probe names; any other label is not synthesized.
     """
-
-    def default_parser(label: str) -> Optional[int]:
-        try:
-            return int(label)
-        except ValueError:
-            return None
-
-    parser = parse_probe_id or default_parser
+    prefix_value = int(ipaddress.IPv6Address(prefix))
 
     def synthesize(qname: Name, qtype: RRType) -> Optional[List[ResourceRecord]]:
         labels = qname.relativize(zone.origin)
         if len(labels) != 1:
             return None
-        probe_id = parser(labels[0])
-        if probe_id is None:
+        label = labels[0]
+        if not (label.isascii() and label.isdigit()):
+            return None
+        probe_id = int(label)
+        if probe_id > MAX_PROBE_ID:
             return None
         if qtype != RRType.AAAA:
             return []  # name exists, no data of this type
-        rdata = AAAA.from_fields(prefix, zone.serial & 0xFFF, probe_id, answer_ttl)
+        rdata = AAAA.from_fields(
+            prefix_value, zone.serial & 0xFFF, probe_id, answer_ttl
+        )
         return [ResourceRecord(qname, answer_ttl, rdata)]
 
     zone.synthesizer = synthesize

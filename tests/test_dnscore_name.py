@@ -12,6 +12,9 @@ LABEL = st.text(
     max_size=20,
 )
 NAMES = st.lists(LABEL, min_size=0, max_size=5).map(Name)
+MIXED_CASE_LABEL = st.text(
+    alphabet=st.sampled_from("abcXYZ019-"), min_size=1, max_size=20
+)
 
 
 def test_root_renders_as_dot():
@@ -130,3 +133,21 @@ def test_property_ancestors_end_at_root(name):
     assert chain[0] == name
     assert chain[-1].is_root
     assert len(chain) == len(name) + 1
+
+
+@pytest.mark.parametrize("text", ["exämple.nl", "www.日本.jp.", "caf\u00e9."])
+def test_non_ascii_label_rejected_as_name_error(text):
+    with pytest.raises(NameError_, match="non-ASCII"):
+        Name.from_text(text)
+
+
+@given(st.lists(MIXED_CASE_LABEL, min_size=1, max_size=6))
+def test_property_parent_equals_constructed_suffix(labels):
+    name = Name(labels)
+    parent = name.parent()
+    expected = Name(labels[1:])
+    assert parent == expected
+    assert parent.labels == expected.labels  # spelling preserved
+    assert parent._key == expected._key
+    assert hash(parent) == hash(expected)
+    assert str(parent) == str(expected)

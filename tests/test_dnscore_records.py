@@ -1,5 +1,7 @@
 """Unit and property tests for rdata, resource records, and RRsets."""
 
+import ipaddress
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -65,6 +67,55 @@ def test_instrumented_aaaa_range_checks():
 def test_property_instrumented_aaaa_roundtrip(serial, probe_id, ttl):
     rdata = AAAA.from_fields("fd0f:3897:faf7:a375::", serial, probe_id, ttl)
     assert rdata.fields() == (serial, probe_id, ttl)
+
+
+IPV6_VALUES = st.integers(min_value=0, max_value=(1 << 128) - 1)
+
+
+@given(IPV6_VALUES)
+def test_property_aaaa_from_int_formats_like_ipaddress(value):
+    rdata = AAAA.from_int(value)
+    assert rdata.value == value
+    assert rdata.address == str(ipaddress.IPv6Address(value))
+    assert rdata.packed() == ipaddress.IPv6Address(value).packed
+
+
+@given(IPV6_VALUES)
+def test_property_aaaa_text_and_int_forms_equal(value):
+    text = ipaddress.IPv6Address(value).exploded.upper()
+    from_text = AAAA(text)
+    from_int = AAAA.from_int(int(ipaddress.IPv6Address(text)))
+    assert from_text == from_int
+    assert hash(from_text) == hash(from_int)
+
+
+@pytest.mark.parametrize("value", [-1, 1 << 128])
+def test_aaaa_from_int_rejects_out_of_range(value):
+    with pytest.raises(ValueError):
+        AAAA.from_int(value)
+
+
+@pytest.mark.parametrize("text", ["not-an-address", "2001:db8::1::2", "192.0.2.1"])
+def test_aaaa_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        AAAA(text)
+
+
+def test_instrumented_aaaa_integer_prefix_matches_text_prefix():
+    prefix = "fd0f:3897:faf7:a375::"
+    by_text = AAAA.from_fields(prefix, 7, 28477, 3600)
+    by_int = AAAA.from_fields(int(ipaddress.IPv6Address(prefix)), 7, 28477, 3600)
+    assert by_text == by_int
+    assert by_text.address == "fd0f:3897:faf7:a375:70:6f3d:0:e10"
+
+
+def test_with_ttl_returns_self_when_unchanged():
+    record = ResourceRecord(OWNER, 60, A("192.0.2.1"))
+    assert record.with_ttl(60) is record
+    changed = record.with_ttl(30)
+    assert changed is not record
+    assert (changed.ttl, record.ttl) == (30, 60)
+    assert changed.rdata is record.rdata
 
 
 def test_soa_key_includes_all_fields():

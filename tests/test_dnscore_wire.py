@@ -21,6 +21,7 @@ from repro.dnscore.wire import WireError, from_wire, to_wire
 
 ZONE = Name.from_text("cachetest.nl.")
 QNAME = Name.from_text("1414.cachetest.nl.")
+PREFIX = "fd0f:3897:faf7:a375::"
 
 
 def roundtrip(message: Message) -> Message:
@@ -161,8 +162,105 @@ def test_fuzz_decoder_never_hangs_or_crashes_uncontrolled():
         blob = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 80)))
         try:
             from_wire(blob)
-        except (WireError, ValueError):
+        except WireError:
             pass  # controlled rejection is the contract
+
+
+def _reference_response() -> Message:
+    owner = QNAME
+    return make_response(
+        make_query(owner, RRType.AAAA, msg_id=5),
+        aa=True,
+        answers=[
+            ResourceRecord(owner, 60, AAAA.from_fields(PREFIX, 3, 1414, 60)),
+            ResourceRecord(owner, 60, AAAA("2001:db8::2")),
+        ],
+        authority=[
+            ResourceRecord(ZONE, 60, NS(Name.from_text("ns1.cachetest.nl."))),
+            ResourceRecord(ZONE, 60, SOA(ZONE, ZONE, 3)),
+        ],
+        additional=[
+            ResourceRecord(Name.from_text("ns1.cachetest.nl."), 60, A("192.0.2.1")),
+            ResourceRecord(owner, 60, TXT(["hello"])),
+            ResourceRecord(owner, 60, DS(1, 8, 2, b"\x01\x02\x03\x04")),
+        ],
+    )
+
+
+def test_fuzz_mutated_packets_raise_only_wire_error():
+    # Byte flips and truncations of a valid packet reach the decoder's
+    # deeper paths (unknown types and classes, TTLs with the top bit set,
+    # non-ASCII labels, non-UTF-8 TXT) that random blobs rarely do.
+    import random
+
+    rng = random.Random(11)
+    base = to_wire(_reference_response())
+    for _ in range(3000):
+        blob = bytearray(base)
+        for _ in range(rng.randrange(1, 4)):
+            blob[rng.randrange(len(blob))] = rng.randrange(256)
+        if rng.random() < 0.3:
+            blob = blob[: rng.randrange(len(blob))]
+        try:
+            from_wire(bytes(blob))
+        except WireError:
+            pass
+
+
+def _question_packet(name_bytes: bytes, qtype: int = 1, qclass: int = 1) -> bytes:
+    header = bytes.fromhex("000100000001000000000000")
+    return header + name_bytes + qtype.to_bytes(2, "big") + qclass.to_bytes(2, "big")
+
+
+def test_non_ascii_label_byte_rejected_as_wire_error():
+    with pytest.raises(WireError, match="non-ASCII"):
+        from_wire(_question_packet(b"\x04caf\xe9\x02nl\x00"))
+
+
+def test_overlong_name_rejected_as_wire_error():
+    name_bytes = (b"\x3f" + b"a" * 63) * 5 + b"\x00"  # 321 octets
+    with pytest.raises(WireError, match="bad name"):
+        from_wire(_question_packet(name_bytes))
+
+
+def test_unknown_type_and_class_rejected_as_wire_error():
+    with pytest.raises(WireError, match="RRType"):
+        from_wire(_question_packet(b"\x00", qtype=60))
+    with pytest.raises(WireError, match="RRClass"):
+        from_wire(_question_packet(b"\x00", qclass=7))
+
+
+def test_ttl_with_top_bit_rejected_as_wire_error():
+    wire = bytearray(to_wire(make_response(
+        make_query(QNAME, RRType.A),
+        answers=[ResourceRecord(QNAME, 60, A("192.0.2.1"))],
+    )))
+    ttl_at = len(wire) - 4 - 2 - 4  # rdata, rdlength, then the TTL
+    assert wire[ttl_at:ttl_at + 4] == (60).to_bytes(4, "big")
+    wire[ttl_at] = 0x80
+    with pytest.raises(WireError, match="TTL"):
+        from_wire(bytes(wire))
+
+
+def test_non_utf8_txt_rejected_as_wire_error():
+    wire = bytearray(to_wire(make_response(
+        make_query(QNAME, RRType.TXT),
+        answers=[ResourceRecord(QNAME, 60, TXT(["ab"]))],
+    )))
+    wire[-1] = 0xFF
+    with pytest.raises(WireError, match="UTF-8"):
+        from_wire(bytes(wire))
+
+
+@pytest.mark.parametrize("value", [0, 1, (1 << 128) - 1, 0x20010DB8 << 96])
+def test_aaaa_decodes_all_128_bits(value):
+    response = make_response(
+        make_query(QNAME, RRType.AAAA),
+        answers=[ResourceRecord(QNAME, 60, AAAA.from_int(value))],
+    )
+    decoded = roundtrip(response).answers[0].rdata
+    assert isinstance(decoded, AAAA)
+    assert decoded.value == value
 
 
 @st.composite
@@ -186,6 +284,14 @@ def messages(draw):
                     st.text(
                         alphabet=st.sampled_from("abc "), max_size=20
                     ).map(lambda text: TXT([text])),
+                    st.integers(0, (1 << 128) - 1).map(AAAA.from_int),
+                    st.builds(
+                        AAAA.from_fields,
+                        st.just(PREFIX),
+                        st.integers(0, 0xFFF),
+                        st.integers(0, 0xFFFFF),
+                        st.integers(0, 0xFFFFFFFF),
+                    ),
                 ),
                 min_size=1,
                 max_size=3,

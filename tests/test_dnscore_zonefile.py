@@ -130,6 +130,21 @@ def test_errors_carry_line_numbers():
     assert error.value.line_number == 3
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("$ORIGIN t.\n$TTL 60\nexämple IN A 192.0.2.1\n", 3),
+        ("$ORIGIN t.\n$TTL 60\nwww IN CNAME wéb\n", 3),
+        ("$ORIGIN tëst.\n", 1),
+        ("$ORIGIN t.\n$TTL 60\na..b IN A 192.0.2.1\n", 3),
+    ],
+)
+def test_bad_names_raise_zone_file_error_with_line(text, line):
+    with pytest.raises(ZoneFileError) as error:
+        parse_zone_text(text)
+    assert error.value.line_number == line
+
+
 def test_missing_soa_rejected():
     with pytest.raises(ZoneFileError, match="no SOA"):
         parse_zone_text("$ORIGIN t.\n$TTL 60\nns IN A 192.0.2.1\n")

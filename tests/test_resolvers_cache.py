@@ -187,3 +187,62 @@ def test_property_size_never_exceeds_limit(name_indices):
         owner = Name.from_text(f"n{index}.nl.")
         cache.put(make_rrset(owner=owner), float(step))
         assert len(cache) <= 10
+
+
+def test_get_shared_returns_stored_rrset_and_get_still_copies():
+    cache = DnsCache()
+    stored = make_rrset(ttl=300)
+    cache.put(stored, now=100.0)
+    assert cache.get_shared(OWNER, RRType.A, now=150.0) is stored
+    assert stored.ttl == 300  # never decremented in place
+    hit = cache.get(OWNER, RRType.A, now=150.0)
+    assert hit is not stored
+    assert hit.ttl == 250
+    assert cache.get_shared(OWNER, RRType.A, now=400.0) is None  # expired
+    assert cache.stats()["hits"] == 2
+    assert cache.stats()["misses"] == 1
+
+
+# Operations: (kind, name index, time step, ttl) with kind 0 = put,
+# 1 = read, 2 = read requiring authoritative data (``get`` only), 3 = glue put.
+CACHE_OPS = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.integers(0, 4),
+        st.integers(0, 40),
+        st.integers(1, 60),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(CACHE_OPS, st.sampled_from([0.0, 30.0]))
+def test_property_get_shared_moves_statistics_exactly_as_get(ops, stale_window):
+    # Twin caches see the same script; one reads with get, the other with
+    # get_shared. Hits, misses, LRU order, evictions and stale drops must
+    # stay identical, and get_shared must hand out the stored object.
+    config = CacheConfig(max_entries=3, stale_window=stale_window)
+    copying, sharing = DnsCache(config), DnsCache(config)
+    now = 0.0
+    for kind, index, step, ttl in ops:
+        now += step
+        owner = Name.from_text(f"n{index}.nl.")
+        if kind in (0, 3):
+            rrset = make_rrset(ttl=ttl, owner=owner)
+            copying.put(rrset, now, authoritative=kind == 0)
+            sharing.put(rrset, now, authoritative=kind == 0)
+        elif kind == 1:
+            copied = copying.get(owner, RRType.A, now)
+            shared = sharing.get_shared(owner, RRType.A, now)
+            assert (copied is None) == (shared is None)
+            if shared is not None:
+                entry = sharing.peek(owner, RRType.A)
+                assert shared is entry.rrset
+                assert copied.ttl == entry.remaining_ttl(now)
+                assert copied.rdatas() == shared.rdatas()
+        else:
+            copying.get(owner, RRType.A, now, require_authoritative=True)
+            sharing.get(owner, RRType.A, now, require_authoritative=True)
+        assert copying.stats() == sharing.stats()
+        assert list(copying._entries) == list(sharing._entries)

@@ -114,3 +114,30 @@ def test_probe_synthesizer_negative_cases():
     # Two labels deep: NXDOMAIN.
     deep = child.lookup(Name.from_text("a.1414.cachetest.nl."), RRType.AAAA)
     assert deep.status == LookupStatus.NXDOMAIN
+
+
+@pytest.mark.parametrize("label", ["-5", "1048576", "1_000", "+3", " 9"])
+def test_probe_synthesizer_rejects_malformed_probe_labels(label):
+    # Only ASCII-decimal labels within the 20-bit probe-id field are probe
+    # names: the others must neither crash the lookup (out-of-range ids)
+    # nor alias a real probe (int() also accepts "1_000", "+3" and " 9").
+    zones = build_tree()
+    child = zones[Name.from_text("cachetest.nl.")]
+    attach_probe_synthesizer(child, PROBE_ANSWER_PREFIX, 3600)
+    try:
+        qname = Name((label,) + child.origin.labels)
+    except ValueError:
+        return  # not even a valid name
+    for qtype in (RRType.AAAA, RRType.A):
+        result = child.lookup(qname, qtype)
+        assert result.status == LookupStatus.NXDOMAIN
+
+
+@pytest.mark.parametrize("label, probe_id", [("0", 0), ("1048575", 0xFFFFF)])
+def test_probe_synthesizer_accepts_probe_id_range_ends(label, probe_id):
+    zones = build_tree()
+    child = zones[Name.from_text("cachetest.nl.")]
+    attach_probe_synthesizer(child, PROBE_ANSWER_PREFIX, 60)
+    result = child.lookup(Name.from_text(f"{label}.cachetest.nl."), RRType.AAAA)
+    assert result.status == LookupStatus.ANSWER
+    assert result.answers[0].rdata.fields()[1] == probe_id
