@@ -68,7 +68,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help=(
             "record sim-time telemetry timelines (flight recorder + "
-            "per-source sketches) and write the points as JSONL; render "
+            "exact per-source counts) and write the points as JSONL; render "
             "with 'repro timeline PATH'"
         ),
     )

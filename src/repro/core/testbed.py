@@ -224,20 +224,15 @@ class Testbed:
 
         # Offered-load vantage (paper: "queries before they are dropped"):
         # a tap in front of each measurement-zone server records every
-        # query regardless of the attack drop. When the flight recorder's
-        # sketches are armed, the same tap feeds per-source accounting —
+        # query regardless of the attack drop. When the flight recorder
+        # is armed, the same tap feeds exact per-source accounting —
         # one closure per configuration so disabled runs pay nothing.
         self.offered_query_log = QueryLog()
         self.source_sketch = None
-        recorder = self.obs.recorder
-        if recorder is not None and recorder.spec.sketch:
+        if self.obs.recorder is not None:
             from repro.obs.sketch import SourceSketch
 
-            self.source_sketch = SourceSketch(
-                epsilon=recorder.spec.sketch_epsilon,
-                delta=recorder.spec.sketch_delta,
-                topk=recorder.spec.sketch_topk,
-            )
+            self.source_sketch = SourceSketch()
         for server in self.test_servers:
             self.network.register_tap(
                 server.address, self._make_offered_tap(server.name)

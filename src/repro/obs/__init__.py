@@ -5,7 +5,7 @@ Four independent layers, all zero-cost when disabled:
 - :class:`Tracer` — per-query span events (``repro ddos H --trace out.jsonl``)
 - :class:`MetricsRegistry` — counters/gauges/histograms snapshotted per round
 - :class:`TimelineRecorder` — the flight recorder: sim-time telemetry
-  timelines with sketch-based per-source accounting
+  timelines with exact per-source accounting
   (``repro ddos H --timeline out.jsonl``)
 - simulator profiling — see :meth:`repro.simcore.Simulator.enable_profiling`
 
@@ -27,7 +27,7 @@ from repro.obs.records import (
     SpanEvent,
     TimelinePoint,
 )
-from repro.obs.sketch import CountMinSketch, SourceSketch, SpaceSaving
+from repro.obs.sketch import SourceSketch
 from repro.obs.spanio import (
     SpanFormatError,
     export_metrics,
@@ -51,7 +51,6 @@ from repro.obs.timeline import (
 from repro.obs.trace import Tracer
 
 __all__ = [
-    "CountMinSketch",
     "Counter",
     "CounterFamily",
     "DEFAULT_SERIES",
@@ -63,7 +62,6 @@ __all__ = [
     "ObsSpec",
     "SPAN_KINDS",
     "SourceSketch",
-    "SpaceSaving",
     "SpanEvent",
     "SpanFormatError",
     "TERMINAL_KINDS",

@@ -1,286 +1,71 @@
-"""Streaming sketches for per-source accounting at the authoritatives.
+"""Exact per-source accounting at the authoritatives.
 
-Three small, deterministic stream summaries sized for the flight
-recorder's per-packet hot path (one :meth:`SourceSketch.update` per
-offered query at a measurement-zone server):
+:class:`SourceSketch` counts every offered query at a measurement-zone
+server by source address, exactly, the way the paper counts sources
+(``QueryLog.unique_sources_by_round`` builds Figure 12 the same way).
+At the populations simulated here (at most ~15k sources) a dict is
+both cheaper per update and exact; a bounded streaming sketch only pays
+at line-rate, million-source scale.
 
-- :class:`CountMinSketch` — per-key frequency estimates with the classic
-  one-sided guarantee ``true <= estimate <= true + epsilon * N`` (with
-  probability ``1 - delta``), in ``O(depth)`` per update.
-- :class:`SpaceSaving` — Metwally-style heavy-hitter tracking: at most
-  ``capacity`` monitored keys, every key with true count above
-  ``N / capacity`` is guaranteed to be monitored, and each monitored
-  count overestimates by at most its recorded ``error``.
-- :class:`SourceSketch` — the composite the testbed wires in front of
-  the authoritatives: count-min + space-saving + a linear-counting
-  distinct estimator, summarised into flat numeric series (total load,
-  distinct sources, source entropy, heavy-hitter shares) for the
-  timeline's pull collector.
-
-All hashing uses :func:`zlib.crc32` with per-row salts, never Python's
-``hash`` — estimates must not depend on ``PYTHONHASHSEED``, and the
-determinism lint rule enforces as much. Every structure is plain data
-(ints and lists) so sketches pickle through ``TestbedSnapshot`` and the
-disk cache.
+``update(src)`` is the hot-path entry (one call per offered query).
+``summary()`` and ``heavy_hitters()`` are pull-only: the flight
+recorder samples them on its sim-time cadence. Both results depend only
+on the multiset of sources, not on their arrival order. The counter is
+plain data, so it pickles through ``TestbedSnapshot`` and the disk
+cache.
 """
 
 from __future__ import annotations
 
 import math
-# Data-structure use only (space-saving eviction order), not event
-# scheduling — the flight recorder's timers all go through the simulator.
-from heapq import heapify, heappop, heappush  # repro-lint: allow[event-loop]
 from typing import Dict, List, Tuple
-from zlib import crc32
 
-
-class CountMinSketch:
-    """Conservative frequency estimates over a key stream.
-
-    ``width`` is ``ceil(e / epsilon)`` and ``depth`` is
-    ``ceil(ln(1 / delta))``: an estimate exceeds the true count by more
-    than ``epsilon * N`` (``N`` = total stream weight) with probability
-    at most ``delta``. Estimates never undercount.
-    """
-
-    __slots__ = ("epsilon", "delta", "width", "depth", "total", "_rows", "_salts")
-
-    def __init__(self, epsilon: float = 0.01, delta: float = 0.01) -> None:
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {delta!r}")
-        self.epsilon = epsilon
-        self.delta = delta
-        self.width = math.ceil(math.e / epsilon)
-        self.depth = math.ceil(math.log(1.0 / delta))
-        self.total = 0
-        self._rows: List[List[int]] = [
-            [0] * self.width for _ in range(self.depth)
-        ]
-        # Independent hash functions per row: crc32 seeded per row (the
-        # seed is itself a crc32 of a row label, so rows stay decorrelated
-        # without concatenating a salt onto every key).
-        self._salts: Tuple[int, ...] = tuple(
-            crc32(f"cms-row-{index}:".encode("ascii"))
-            for index in range(self.depth)
-        )
-
-    def update(self, key: str, amount: int = 1) -> None:
-        data = key.encode("utf-8", "surrogateescape")
-        width = self.width
-        for salt, row in zip(self._salts, self._rows):
-            row[crc32(data, salt) % width] += amount
-        self.total += amount
-
-    def estimate(self, key: str) -> int:
-        data = key.encode("utf-8", "surrogateescape")
-        width = self.width
-        return min(
-            row[crc32(data, salt) % width]
-            for salt, row in zip(self._salts, self._rows)
-        )
-
-    def error_bound(self) -> float:
-        """The additive bound ``epsilon * N`` at the current stream size."""
-        return self.epsilon * self.total
-
-    def __repr__(self) -> str:
-        return (
-            f"<CountMinSketch {self.depth}x{self.width} "
-            f"eps={self.epsilon:g} N={self.total}>"
-        )
-
-
-class SpaceSaving:
-    """Top-k heavy hitters with bounded overestimation.
-
-    Keeps at most ``capacity`` ``key -> [count, error]`` entries. A new
-    key arriving at a full table evicts the minimum-count entry and
-    inherits its count (recorded as ``error``), so a monitored count
-    overestimates the true count by at most that entry's ``error``.
-    When the stream holds at most ``capacity`` distinct keys, every
-    count is exact (``error`` 0).
-    """
-
-    __slots__ = ("capacity", "total", "_entries", "_minheap")
-
-    def __init__(self, capacity: int = 16) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity!r}")
-        self.capacity = capacity
-        self.total = 0
-        self._entries: Dict[str, List[int]] = {}
-        # Lazy min-heap of (count, error, key) snapshots. Every entry
-        # modification pushes a fresh snapshot; eviction pops stale ones
-        # (counts only grow, so a snapshot matching the live entry IS the
-        # live state). Bounded by periodic compaction in update().
-        self._minheap: List[Tuple[int, int, str]] = []
-
-    def update(self, key: str, amount: int = 1) -> None:
-        self.total += amount
-        entries = self._entries
-        heap = self._minheap
-        entry = entries.get(key)
-        if entry is not None:
-            entry[0] += amount
-            heappush(heap, (entry[0], entry[1], key))
-            return
-        if len(entries) < self.capacity:
-            entries[key] = [amount, 0]
-            heappush(heap, (amount, 0, key))
-            return
-        # Evict the minimum-(count, error, key) entry — the tie-break
-        # keeps the summary independent of dict insertion history. Pop
-        # past snapshots that no longer match a live entry.
-        while True:
-            count, error, victim = heap[0]
-            live = entries.get(victim)
-            if live is not None and live[0] == count and live[1] == error:
-                break
-            heappop(heap)
-        floor = count
-        heappop(heap)
-        del entries[victim]
-        entries[key] = [floor + amount, floor]
-        heappush(heap, (floor + amount, floor, key))
-        if len(heap) > 8 * self.capacity:
-            # Compact: rebuild from the live entries only.
-            self._minheap = [
-                (entry[0], entry[1], live_key)
-                for live_key, entry in entries.items()
-            ]
-            heapify(self._minheap)
-
-    def top(self, n: int) -> List[Tuple[str, int, int]]:
-        """The ``n`` largest ``(key, count, error)`` rows, deterministically
-        ordered by (-count, error, key)."""
-        entries = self._entries
-        ranked = sorted(
-            entries.items(), key=lambda item: (-item[1][0], item[1][1], item[0])
-        )
-        return [(key, entry[0], entry[1]) for key, entry in ranked[:n]]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:
-        return (
-            f"<SpaceSaving {len(self._entries)}/{self.capacity} "
-            f"N={self.total}>"
-        )
+#: Number of heaviest sources whose combined share is ``topk_share``.
+TOPK = 16
 
 
 class SourceSketch:
-    """Composite per-source accounting for one run's offered load.
+    """Queries per source address for one run's offered load."""
 
-    ``update(src)`` is the hot-path entry (one call per offered query at
-    a measurement-zone authoritative): one count-min update, one
-    space-saving update, and one bit set in the linear-counting bitmap.
-    ``summary()`` is pull-only — it is sampled by the flight recorder on
-    its sim-time cadence and never touches the hot path.
-    """
+    __slots__ = ("counts", "total")
 
-    __slots__ = ("cms", "heavy", "_bitmap", "_bitmap_bits", "total")
-
-    #: Linear-counting register size (bits). 8192 keeps the standard-error
-    #: of the distinct estimate under ~2% for the populations we simulate.
-    BITMAP_BITS = 8192
-
-    def __init__(
-        self,
-        epsilon: float = 0.01,
-        delta: float = 0.01,
-        topk: int = 16,
-    ) -> None:
-        self.cms = CountMinSketch(epsilon=epsilon, delta=delta)
-        self.heavy = SpaceSaving(capacity=topk)
-        self._bitmap_bits = self.BITMAP_BITS
-        self._bitmap = bytearray(self._bitmap_bits // 8)
+    def __init__(self) -> None:
+        self.counts: Dict[str, int] = {}
         self.total = 0
 
-    def update(self, src: str, amount: int = 1) -> None:
-        self.total += amount
-        self.cms.update(src, amount)
-        self.heavy.update(src, amount)
-        bit = crc32(src.encode("utf-8", "surrogateescape")) % self._bitmap_bits
-        self._bitmap[bit >> 3] |= 1 << (bit & 7)
-
-    # -- pull-side estimates -------------------------------------------
-    def distinct(self) -> float:
-        """Linear-counting estimate of distinct sources seen so far."""
-        zeros = sum(
-            8 - bin(byte).count("1") for byte in self._bitmap
-        )
-        if zeros == 0:
-            # Register saturated; the estimate diverges. Report the
-            # register size as the (now unreliable) floor.
-            return float(self._bitmap_bits)
-        m = float(self._bitmap_bits)
-        return m * math.log(m / zeros)
-
-    def entropy_bits(self) -> float:
-        """Rolling estimate of the source distribution's Shannon entropy.
-
-        Heavy hitters contribute their estimated probabilities exactly;
-        the residual mass (total minus monitored counts) is spread
-        uniformly over the remaining distinct sources. Under a flood the
-        top source dominates and entropy collapses toward 0; under the
-        legitimate population it approaches ``log2(distinct)``.
-        """
-        total = self.total
-        if total <= 0:
-            return 0.0
-        entropy = 0.0
-        monitored = 0
-        for _key, count, _error in self.heavy.top(self.heavy.capacity):
-            monitored += count
-            p = count / total
-            if p > 0.0:
-                entropy -= p * math.log2(p)
-        residual = total - monitored
-        if residual > 0:
-            tail_keys = max(1.0, self.distinct() - len(self.heavy))
-            p = residual / total / tail_keys
-            if p > 0.0:
-                entropy -= residual / total * math.log2(p)
-        return entropy
+    def update(self, src: str) -> None:
+        counts = self.counts
+        counts[src] = counts.get(src, 0) + 1
+        self.total += 1
 
     def summary(self) -> Dict[str, float]:
         """Flat numeric series for the timeline's ``sketch`` collector.
 
-        ``topk_share`` is the *guaranteed* heavy-hitter mass — monitored
-        counts minus their overestimation errors — because the raw
-        monitored counts always sum to the full stream total (evictions
-        inherit the victim's count), which would make the raw share a
-        constant 1.
+        ``entropy_bits`` is the Shannon entropy of the source
+        distribution: 0 when one source sends everything, ``log2(n)``
+        for ``n`` equally loud sources. ``top1_share`` and
+        ``topk_share`` are the fractions of the load sent by the
+        heaviest source and the :data:`TOPK` heaviest sources.
         """
-        total = self.total
-        top = self.heavy.top(self.heavy.capacity)
-        top1 = top[0][1] if top else 0
-        topk_mass = sum(max(0, count - error) for _key, count, error in top)
+        total = self.total or 1  # empty: every share stays 0
+        # Sorted, so the float sums do not depend on arrival order.
+        ranked = sorted(self.counts.values(), reverse=True)
+        entropy = 0.0
+        for count in ranked:
+            p = count / total
+            entropy -= p * math.log2(p)
         return {
-            "total": total,
-            "distinct": round(self.distinct(), 3),
-            "entropy_bits": round(self.entropy_bits(), 6),
-            "top1_share": round(top1 / total, 6) if total else 0.0,
-            "topk_share": round(topk_mass / total, 6) if total else 0.0,
+            "distinct": len(ranked),
+            "entropy_bits": entropy,
+            "top1_share": ranked[0] / total if ranked else 0.0,
+            "topk_share": sum(ranked[:TOPK]) / total,
         }
 
-    def heavy_hitters(self, n: int = 10) -> List[Tuple[str, int, int]]:
-        """The top ``n`` sources as ``(src, estimated_count, error)``.
-
-        Space-saving nominates the keys; the reported count is the
-        smaller of its count and the count-min estimate. Both
-        overestimate the true count, so the minimum still does — and it
-        inherits the count-min guarantee: within ``epsilon * N`` of the
-        true count (w.h.p.), even when the space-saving table is
-        churning because the stream holds more than ``topk`` sources.
-        """
-        return [
-            (key, min(count, self.cms.estimate(key)), error)
-            for key, count, error in self.heavy.top(n)
-        ]
+    def heavy_hitters(self, n: int = 10) -> List[Tuple[str, int]]:
+        """The ``n`` heaviest sources as ``(src, count)``, ordered by
+        ``(-count, src)``."""
+        ranked = sorted(self.counts.items(), key=lambda item: (-item[1], item[0]))
+        return ranked[:n]
 
     def __repr__(self) -> str:
-        return f"<SourceSketch N={self.total} monitored={len(self.heavy)}>"
+        return f"<SourceSketch N={self.total} distinct={len(self.counts)}>"

@@ -4,7 +4,7 @@ Per-round metric snapshots (PR 2) only see the world at probing-round
 boundaries — everything between probes, which is where the paper's
 cache/retry/loss interactions actually play out, is invisible. The
 flight recorder samples the metrics registry (instruments plus pull
-collectors, including the per-source sketches from
+collectors, including the exact per-source counter from
 :mod:`repro.obs.sketch`) on a configurable *sim-time* cadence,
 independent of probing rounds, driven by a self-rescheduling simulator
 timer. Each sample is distilled into a typed
@@ -17,10 +17,10 @@ Sampling cadence vs. event cost: one tick costs one registry read
 (``O(instruments + collector state)``) and one kernel event, so a 60 s
 cadence over a 3-hour run adds ~180 events to the millions the
 experiments process — negligible. The per-*packet* cost lives elsewhere:
-the sketch tap adds ``O(depth)`` counter updates per offered query, and
-only when ``TimelineSpec.sketch`` is on. With no ``TimelineSpec`` at
-all, nothing is scheduled, no collector runs, and the hot path is
-byte-for-byte the PR 2 None-sink code path.
+the per-source tap adds one dict increment per offered query. With no
+``TimelineSpec`` at all, nothing is scheduled, no collector runs, no
+per-source counter exists, and the hot path is byte-for-byte the
+None-sink code path.
 """
 
 from __future__ import annotations
@@ -45,18 +45,12 @@ DEFAULT_SERIES = (
 class TimelineSpec:
     """Flight-recorder configuration (rides ``ObsSpec`` into the cache key).
 
-    ``interval`` is the sim-time sampling cadence in seconds. ``sketch``
-    arms the per-source sketches at the measurement-zone authoritatives;
-    ``sketch_epsilon``/``sketch_delta`` size the count-min guarantee
-    (estimate within ``epsilon * N`` with probability ``1 - delta``) and
-    ``sketch_topk`` the space-saving heavy-hitter capacity.
+    ``interval`` is the sim-time sampling cadence in seconds. A spec
+    always arms exact per-source counting at the measurement-zone
+    authoritatives (the ``sketch.*`` series).
     """
 
     interval: float = 60.0
-    sketch: bool = True
-    sketch_epsilon: float = 0.01
-    sketch_delta: float = 0.01
-    sketch_topk: int = 16
 
 
 class TimelineRecorder:

@@ -44,8 +44,8 @@ class TestbedSnapshot:
     # Flight-recorder timeline points (repro.obs.timeline); empty unless
     # the run carried a TimelineSpec.
     timeline_points: List[Any] = field(default_factory=list, repr=False)
-    # Per-source SourceSketch (plain ints/lists, pickles natively); None
-    # unless the run carried a TimelineSpec with sketching on.
+    # Exact per-source SourceSketch (a plain dict, pickles natively);
+    # None unless the run carried a TimelineSpec.
     source_sketch: Optional[Any] = field(default=None, repr=False)
     profile: Optional[Dict[str, Any]] = field(default=None, repr=False)
     # Defense/attack counter dicts (None when those subsystems are off),

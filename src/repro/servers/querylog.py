@@ -43,11 +43,16 @@ class QueryLog:
 
     def __init__(self) -> None:
         self.entries: List[QueryLogEntry] = []
+        # Running per-server totals, so the offered-load collector reads
+        # them without rescanning every entry on each registry read.
+        self._server_counts: Dict[str, int] = {}
 
     def record(
         self, time: float, src: str, qname: Name, qtype: RRType, server: str
     ) -> None:
         self.entries.append(QueryLogEntry(time, src, qname, qtype, server))
+        counts = self._server_counts
+        counts[server] = counts.get(server, 0) + 1
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -81,10 +86,7 @@ class QueryLog:
 
     def per_server_counts(self) -> Dict[str, int]:
         """Queries per receiving server (offered-load collector)."""
-        counts: Dict[str, int] = {}
-        for entry in self.entries:
-            counts[entry.server] = counts.get(entry.server, 0) + 1
-        return counts
+        return dict(self._server_counts)
 
     def per_source_counts(
         self,

@@ -1,11 +1,12 @@
-"""Error-bound and determinism guarantees of the per-source sketches."""
+"""Exact per-source accounting: values and arrival-order independence."""
 
 import math
 import random
 
 import pytest
 
-from repro.obs import CountMinSketch, SourceSketch, SpaceSaving
+from repro.obs import SourceSketch
+from repro.obs.sketch import TOPK
 
 
 def zipf_stream(distinct: int, total: int, seed: int):
@@ -23,146 +24,81 @@ def exact_counts(stream):
     return counts
 
 
-# ----------------------------------------------------------------------
-# Count-min
-# ----------------------------------------------------------------------
-def test_cms_parameter_validation():
-    with pytest.raises(ValueError):
-        CountMinSketch(epsilon=0.0)
-    with pytest.raises(ValueError):
-        CountMinSketch(delta=1.0)
-
-
-def test_cms_never_undercounts_and_respects_epsilon_n():
-    stream = zipf_stream(distinct=400, total=20_000, seed=7)
-    truth = exact_counts(stream)
-    cms = CountMinSketch(epsilon=0.01, delta=0.01)
-    for key in stream:
-        cms.update(key)
-
-    assert cms.total == len(stream)
-    bound = cms.error_bound()
-    assert bound == pytest.approx(0.01 * len(stream))
-    for key, true_count in truth.items():
-        estimate = cms.estimate(key)
-        assert estimate >= true_count  # one-sided: never undercounts
-        assert estimate <= true_count + bound
-
-
-def test_cms_weighted_updates():
-    cms = CountMinSketch()
-    cms.update("a", 5)
-    cms.update("a", 2)
-    assert cms.estimate("a") == 7
-    assert cms.total == 7
-    assert cms.estimate("never-seen") <= cms.error_bound()
-
-
-# ----------------------------------------------------------------------
-# Space-saving
-# ----------------------------------------------------------------------
-def test_space_saving_exact_when_under_capacity():
-    stream = zipf_stream(distinct=12, total=5_000, seed=3)
-    truth = exact_counts(stream)
-    heavy = SpaceSaving(capacity=16)
-    for key in stream:
-        heavy.update(key)
-
-    top = heavy.top(16)
-    assert len(top) == len(truth)
-    for key, count, error in top:
-        assert error == 0
-        assert count == truth[key]
-
-
-def test_space_saving_guaranteed_containment():
-    """Every key heavier than N/capacity must be monitored."""
-    stream = zipf_stream(distinct=600, total=30_000, seed=11)
-    truth = exact_counts(stream)
-    heavy = SpaceSaving(capacity=24)
-    for key in stream:
-        heavy.update(key)
-
-    monitored = {key for key, _count, _error in heavy.top(heavy.capacity)}
-    threshold = heavy.total / heavy.capacity
-    for key, true_count in truth.items():
-        if true_count > threshold:
-            assert key in monitored
-    # Monitored counts always sum to the full stream (evictions inherit).
-    assert sum(count for _k, count, _e in heavy.top(heavy.capacity)) == len(
-        stream
-    )
-
-
-def test_space_saving_deterministic_eviction_order():
-    """Ties break on (count, error, key), not dict insertion history."""
-    a, b = SpaceSaving(capacity=2), SpaceSaving(capacity=2)
-    for key in ("x", "y", "z"):
-        a.update(key)
-    for key in ("y", "x", "z"):  # same multiset, different arrival order
-        b.update(key)
-    assert a.top(2) == b.top(2)
-
-
-# ----------------------------------------------------------------------
-# Composite SourceSketch
-# ----------------------------------------------------------------------
-def test_heavy_hitters_within_epsilon_n_of_truth():
-    """SS nominates, CMS bounds: reported counts inherit epsilon*N."""
-    stream = zipf_stream(distinct=500, total=25_000, seed=42)
-    truth = exact_counts(stream)
-    sketch = SourceSketch(epsilon=0.01, delta=0.01, topk=16)
+def sketch_of(stream):
+    sketch = SourceSketch()
     for key in stream:
         sketch.update(key)
-
-    bound = sketch.cms.error_bound()
-    for key, count, _error in sketch.heavy_hitters(10):
-        true_count = truth[key]
-        assert count <= true_count + bound
-        assert count + bound >= true_count
-
-
-def test_distinct_linear_counting_tolerance():
-    sketch = SourceSketch()
-    distinct = 800
-    for index in range(distinct):
-        sketch.update(f"src-{index}")
-    # 8192-bit register: ~2% standard error at this load; 10% gives
-    # plenty of headroom while still catching a broken estimator.
-    assert sketch.distinct() == pytest.approx(distinct, rel=0.10)
+    return sketch
 
 
 def test_entropy_edge_cases():
-    empty = SourceSketch()
-    assert empty.entropy_bits() == 0.0
+    empty = SourceSketch().summary()
+    assert empty == {
+        "distinct": 0,
+        "entropy_bits": 0.0,
+        "top1_share": 0.0,
+        "topk_share": 0.0,
+    }
 
-    single = SourceSketch()
-    for _ in range(1000):
-        single.update("attacker")
-    assert single.entropy_bits() == pytest.approx(0.0, abs=1e-9)
+    single = sketch_of(["attacker"] * 1000).summary()
+    assert single["distinct"] == 1
+    assert single["entropy_bits"] == 0.0
+    assert single["top1_share"] == 1.0 and single["topk_share"] == 1.0
 
-    uniform = SourceSketch(topk=64)
-    for index in range(32):
-        for _ in range(100):
-            uniform.update(f"src-{index}")
-    # All 32 keys monitored exactly: entropy is exactly log2(32) = 5.
-    assert uniform.entropy_bits() == pytest.approx(math.log2(32), rel=0.01)
+    # 64 equally loud sources: more than TOPK, so a bounded heavy-hitter
+    # table would churn here; exact counting gives log2(64) = 6 bits.
+    uniform = sketch_of(
+        [f"src-{index}" for index in range(64) for _ in range(100)]
+    ).summary()
+    assert uniform["distinct"] == 64
+    assert uniform["entropy_bits"] == 6.0
+    assert uniform["top1_share"] == 1 / 64
+    assert uniform["topk_share"] == TOPK / 64
+
+
+def test_distinct_counts_every_source():
+    sketch = sketch_of(f"src-{index}" for index in range(800))
+    assert sketch.summary()["distinct"] == 800
+    assert sketch.total == 800
+
+
+def test_heavy_hitters_match_exact_counts():
+    stream = zipf_stream(distinct=500, total=25_000, seed=42)
+    truth = exact_counts(stream)
+    sketch = sketch_of(stream)
+
+    expected = sorted(truth.items(), key=lambda item: (-item[1], item[0]))
+    assert sketch.heavy_hitters(10) == expected[:10]
+    assert sketch.heavy_hitters(len(truth) + 5) == expected
+    assert sketch.total == len(stream)
 
 
 def test_summary_shares_bounded_and_deterministic():
     stream = zipf_stream(distinct=300, total=10_000, seed=9)
-    first, second = SourceSketch(), SourceSketch()
-    for key in stream:
-        first.update(key)
-        second.update(key)
+    truth = exact_counts(stream)
+    summary = sketch_of(stream).summary()
 
-    summary = first.summary()
-    assert summary == second.summary()  # same stream -> same numbers
-    assert summary["total"] == len(stream)
-    assert 0.0 < summary["top1_share"] <= summary["topk_share"] <= 1.0
+    total = len(stream)
+    ranked = sorted(truth.values(), reverse=True)
+    assert summary["distinct"] == len(truth)
+    assert summary["top1_share"] == ranked[0] / total
+    assert summary["topk_share"] == sum(ranked[:TOPK]) / total
+    assert summary["entropy_bits"] == pytest.approx(
+        -sum(c / total * math.log2(c / total) for c in truth.values()),
+        rel=1e-12,
+    )
     # Zipf over 300 keys is neither degenerate nor uniform.
-    assert 0.0 < summary["entropy_bits"] < math.log2(300) + 1
+    assert 0.0 < summary["top1_share"] < summary["topk_share"] < 1.0
+    assert 0.0 < summary["entropy_bits"] < math.log2(300)
 
-    empty = SourceSketch().summary()
-    assert empty["total"] == 0
-    assert empty["top1_share"] == 0.0 and empty["topk_share"] == 0.0
+
+def test_arrival_order_does_not_change_results():
+    stream = zipf_stream(distinct=200, total=5_000, seed=3)
+    shuffled = list(stream)
+    random.Random(17).shuffle(shuffled)
+    first, second = sketch_of(stream), sketch_of(shuffled)
+
+    assert first.summary() == second.summary()
+    assert first.heavy_hitters(50) == second.heavy_hitters(50)
+    # Ties break on the source address, not on which arrived first.
+    assert sketch_of("xyz").heavy_hitters(3) == sketch_of("zyx").heavy_hitters(3)

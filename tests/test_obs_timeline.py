@@ -5,6 +5,7 @@ sampling interval (300 s) keep every run inside the tier-1 time budget.
 """
 
 import io
+import math
 
 import pytest
 
@@ -86,13 +87,21 @@ def test_timeline_reconciles_with_exact_ground_truth():
 
 def test_sketch_tracks_exact_per_source_counts():
     result = run_h()
-    sketch = result.testbed.source_sketch
+    final = result.timeline_points[-1].values
     exact = result.testbed.offered_query_log.per_source_counts()
+    total = sum(exact.values())
 
-    assert sketch.total == sum(exact.values())
-    bound = sketch.cms.error_bound()
-    for src, count, _error in sketch.heavy_hitters(10):
-        assert abs(count - exact[src]) <= bound
+    # More sources than the 16 heaviest, so every share and the entropy
+    # depend on the whole distribution, not on a heavy-hitter table.
+    assert len(exact) > 16
+    assert final["sketch.distinct"] == len(exact)
+    assert final["sketch.top1_share"] == max(exact.values()) / total
+    assert final["sketch.entropy_bits"] == pytest.approx(
+        -sum(c / total * math.log2(c / total) for c in exact.values()),
+        rel=1e-12,
+    )
+    assert "sketch.total" not in final
+    assert result.testbed.source_sketch.counts == exact
 
 
 # ----------------------------------------------------------------------

@@ -62,3 +62,21 @@ def test_filtered_iterates_matching():
     log = fill_log()
     late = list(log.filtered(lambda entry: entry.time > 600.0))
     assert len(late) == 2
+
+
+def test_per_server_counts_match_a_rescan_and_are_copies():
+    log = QueryLog()
+    assert log.per_server_counts() == {}
+    for index in range(40):
+        server = ("at1", "at2", "at3")[index * 7 % 3]
+        log.record(float(index), f"r{index % 5}", NS1, RRType.A, server)
+        if index % 9 == 0:
+            rescan = {}
+            for entry in log.entries:
+                rescan[entry.server] = rescan.get(entry.server, 0) + 1
+            assert list(log.per_server_counts().items()) == list(rescan.items())
+    before = log.per_server_counts()
+    snapshot = dict(before)
+    before["at1"] += 100
+    before["elsewhere"] = 1
+    assert log.per_server_counts() == snapshot
